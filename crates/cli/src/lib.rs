@@ -198,8 +198,6 @@ pub struct ExploreOptions {
     /// Retained snapshots in the prefix-sharing tree (0 disables it;
     /// reports are bit-identical at any value).
     pub snapshot_budget: usize,
-    /// Pin the wave width instead of the adaptive ramp.
-    pub wave: Option<usize>,
     /// Print a live progress ticker to stderr, sampled at most every this
     /// many milliseconds (0 = every wave).
     pub progress: Option<u64>,
@@ -240,7 +238,6 @@ impl Default for ExploreOptions {
             out: None,
             report_out: None,
             snapshot_budget: 8192,
-            wave: None,
             progress: None,
             progress_out: None,
             metrics_out: None,
@@ -353,7 +350,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut keep_going = false;
     let mut report_out: Option<String> = None;
     let mut snapshot_budget = 8192usize;
-    let mut wave: Option<usize> = None;
     let mut progress: Option<u64> = None;
     let mut progress_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
@@ -510,14 +506,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| CliError::new("--snapshot-budget needs a number (0 disables)"))?
             }
-            "--wave" => {
-                wave = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| CliError::new("--wave needs a number >= 1"))?,
-                )
-            }
             "--report-out" => {
                 report_out = Some(
                     it.next()
@@ -608,7 +596,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 out: output,
                 report_out,
                 snapshot_budget,
-                wave,
                 progress,
                 progress_out,
                 metrics_out,
@@ -640,7 +627,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 out: output,
                 report_out,
                 snapshot_budget,
-                wave,
                 progress,
                 progress_out,
                 metrics_out,
@@ -688,7 +674,7 @@ pub const USAGE: &str =
           [--depth D] [--points sync|shared|all] [--seed N] [--jobs N]
           [--minimize] [--keep-going] [-o trace.json]
           [--max-retries N] [--retry-backoff]
-          [--report-out report.json] [--snapshot-budget N] [--wave N]
+          [--report-out report.json] [--snapshot-budget N]
           [--progress[=MS]] [--progress-out p.jsonl] [--metrics-out m.prom]
           [--dense-oracle]
           searches schedules for a failing interleaving; the first failing
@@ -698,8 +684,6 @@ pub const USAGE: &str =
           bounded search resumes schedules from (default 8192 CoW images,
           0 disables it; reports are bit-identical at any value; resident
           bytes are additionally capped, so deep trees stay cheap);
-          --wave pins the fan-out wave
-          width instead of the adaptive 16..256 ramp;
           --progress prints a live stderr ticker (sampled every MS ms,
           default 500, 0 = every wave); --progress-out records the
           progress/wave event stream as JSONL for `stats` or `report`;
@@ -996,7 +980,7 @@ pub fn cmd_run(
             "trials: {} (seeds {}..{}, {} jobs)",
             s.trials,
             opts.seed,
-            opts.seed + opts.trials as u64,
+            opts.seed.wrapping_add(opts.trials as u64),
             opts.jobs.max(1)
         );
         let _ = writeln!(
@@ -1282,7 +1266,6 @@ fn explore_inner(
     ec.seed = opts.seed;
     ec.stop_at_first = !opts.keep_going;
     ec.snapshot_budget = opts.snapshot_budget;
-    ec.wave = opts.wave;
 
     // The observatory: allocate a registry + observer only when asked, so
     // the plain path keeps the zero-cost discipline.
@@ -2305,8 +2288,6 @@ bb0:
                 "r.json",
                 "--snapshot-budget",
                 "64",
-                "--wave",
-                "8",
             ]))
             .unwrap(),
             Command::Explore {
@@ -2322,12 +2303,10 @@ bb0:
                     out: Some("t.json".into()),
                     report_out: Some("r.json".into()),
                     snapshot_budget: 64,
-                    wave: Some(8),
                     ..ExploreOptions::default()
                 },
             }
         );
-        assert!(parse_args(&args(&["explore", "a.cir", "--wave", "0"])).is_err());
         assert_eq!(
             parse_args(&args(&[
                 "run",
@@ -2677,6 +2656,38 @@ bb0:
             ..ExploreOptions::default()
         };
         assert!(cmd_explore(DEMO, &bad_points).is_err());
+        let err = parse_args(&args(&["explore", "a.cir", "--wave", "8"])).unwrap_err();
+        assert!(err.message.contains("unknown flag `--wave`"), "{err}");
+    }
+
+    const ORDER_VIOLATION: &str = include_str!("../../../assets/order_violation.cir");
+
+    #[test]
+    fn run_trials_wrap_the_largest_seed() {
+        let opts = RunOptions {
+            seed: u64::MAX,
+            trials: 2,
+            ..RunOptions::default()
+        };
+        let (out, _) = cmd_run(ORDER_VIOLATION, &opts, None).unwrap();
+        assert!(
+            out.contains("trials: 2 (seeds 18446744073709551615..1,"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn pct_explore_wraps_the_largest_seed() {
+        let opts = ExploreOptions {
+            scheduler: "pct".into(),
+            points: "shared".into(),
+            keep_going: true,
+            seed: u64::MAX,
+            budget: 8,
+            ..ExploreOptions::default()
+        };
+        let (out, _) = cmd_explore(ORDER_VIOLATION, &opts).unwrap();
+        assert!(out.contains("explored 8 schedules"), "{out}");
     }
 
     #[test]

@@ -161,7 +161,7 @@ pub fn run_trials(
     trials: usize,
 ) -> TrialSummary {
     summarize(
-        (0..trials).map(|i| run_scripted(program, config, script, seed0 + i as u64)),
+        (0..trials).map(|i| run_scripted(program, config, script, seed0.wrapping_add(i as u64))),
         trials,
     )
 }
@@ -262,7 +262,7 @@ pub fn run_trials_parallel(
         return run_trials(program, config, script, seed0, trials);
     }
     let results = pool.map(trials, |i| {
-        run_scripted(program, config, script, seed0 + i as u64)
+        run_scripted(program, config, script, seed0.wrapping_add(i as u64))
     });
     summarize(results, trials)
 }
@@ -299,7 +299,7 @@ pub fn measure_overhead(
     let mut base_wall = Duration::ZERO;
     let mut hard_wall = Duration::ZERO;
     for i in 0..trials {
-        let seed = seed0 + i as u64;
+        let seed = seed0.wrapping_add(i as u64);
         let b = run_once(original, config, seed);
         let h = run_once(hardened, config, seed);
         debug_assert!(
@@ -374,7 +374,12 @@ pub fn measure_restart(
     }
     // Restarts: the failure-inducing interleaving is not forced again.
     for i in 0..max_restarts {
-        let r = run_scripted(program, config, retry_script, seed0 + 1 + i as u64);
+        let r = run_scripted(
+            program,
+            config,
+            retry_script,
+            seed0.wrapping_add(1 + i as u64),
+        );
         total_steps += r.stats.steps;
         if r.outcome.is_completed() {
             return RestartReport {

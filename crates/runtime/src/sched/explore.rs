@@ -2,25 +2,36 @@
 //! fails, with deterministic parallel fan-out and prefix-sharing snapshot
 //! reuse.
 //!
-//! Two strategies share one engine:
+//! Three strategies share one wave engine. Schedule 0 is always the
+//! probe — the non-preemptive default run — and each strategy supplies
+//! only a private frontier: where the next candidates come from and what
+//! an executed run feeds back.
 //!
-//! * **PCT** — independent randomized-priority runs seeded `seed+1,
-//!   seed+2, …` after a probe run that measures `k` (decisions per run).
+//! * **PCT** — candidates are independent randomized-priority runs seeded
+//!   `seed+1, seed+2, …`; the probe measures `k` (decisions per run) and
+//!   nothing flows back from a run.
 //! * **Bounded preemption** — systematic breadth-first enumeration of the
 //!   schedule tree: each executed schedule's consults spawn children that
 //!   replay the decisions up to a branch point and pick a different
 //!   eligible thread there, as long as the path's preemption count stays
 //!   within budget.
+//! * **DPOR** — the same tree, but race analysis of each executed run
+//!   (see [`super::dpor`]) enqueues only the candidates that reverse a
+//!   race.
+//!
+//! Everything else is written once: wave widths, dedup, snapshot resume,
+//! the fan-out, the merge and the observer hooks.
 //!
 //! Schedules execute in waves fanned across a
 //! [`TrialPool`](crate::TrialPool); results merge in schedule-index order.
 //! Wave widths ramp 16 → 256 as a function of the wave index only (never
-//! of `--jobs`), so the explored set, the failure counts and the first
-//! failing schedule are **bit-identical across job counts** — parallelism
-//! changes wall time only.
+//! of `--jobs`; a keep-going PCT search runs its whole budget as one
+//! wave), so the explored set, the failure counts and the first failing
+//! schedule are **bit-identical across job counts** — parallelism changes
+//! wall time only.
 //!
-//! Three layers make the bounded search cheap without changing what it
-//! reports (all deterministic, all enforced bit-identical by tests):
+//! Three layers make the systematic searches cheap without changing what
+//! they report (all deterministic, all enforced bit-identical by tests):
 //!
 //! * **Prefix-sharing snapshot tree** — bounded/CHESS neighbors share long
 //!   decision prefixes by construction, so executed runs deposit
@@ -112,7 +123,7 @@ impl ExploreStrategy {
 pub struct ExploreConfig {
     /// The strategy.
     pub strategy: ExploreStrategy,
-    /// Base seed (PCT run `i` uses `seed + i`).
+    /// Base seed (PCT schedule `i` runs with seed `seed + i`, wrapping).
     pub seed: u64,
     /// Maximum schedules to execute.
     pub budget: usize,
@@ -125,20 +136,16 @@ pub struct ExploreConfig {
     /// default). `false` exhausts the budget — for measuring failure
     /// density and throughput.
     pub stop_at_first: bool,
-    /// Override PCT's `k` instead of probing for it.
-    pub pct_k: Option<u64>,
     /// Retained snapshots the prefix tree may hold (bounded search only;
     /// `0` disables the cache entirely). Pure perf: reports are
     /// bit-identical at any value.
     pub snapshot_budget: usize,
-    /// Pin every wave to this width instead of the 16 → 256 ramp.
-    pub wave: Option<usize>,
 }
 
 impl ExploreConfig {
     /// Defaults: seed 1, budget 256, sequential, sync mask, stop at first
-    /// failure, 8192 retained snapshots, ramped wave widths. The snapshot
-    /// default is sized for CoW images — mostly refcount bumps each, with
+    /// failure, 8192 retained snapshots. The snapshot default is sized for
+    /// CoW images — mostly refcount bumps each, with
     /// [`SNAPSHOT_BYTE_BUDGET`] bounding actual residency.
     pub fn new(strategy: ExploreStrategy) -> Self {
         Self {
@@ -148,9 +155,7 @@ impl ExploreConfig {
             jobs: 1,
             mask: PointMask::SYNC,
             stop_at_first: true,
-            pct_k: None,
             snapshot_budget: 8192,
-            wave: None,
         }
     }
 }
@@ -213,7 +218,7 @@ impl ExplorePhases {
 }
 
 /// What an exploration did.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ExploreReport {
     /// Strategy label (e.g. `pct(d=3)`).
     pub strategy: String,
@@ -390,10 +395,32 @@ struct Executed {
     undo_depth: Histogram,
 }
 
+/// A candidate schedule a frontier hands the wave loop.
+enum Candidate {
+    /// PCT: an independent randomized run under this seed and config.
+    Seed(u64, PctConfig),
+    /// Bounded search: a forced decision prefix and the preemptions it
+    /// spends.
+    Branch(Vec<u32>, usize),
+    /// DPOR: a race-reversing backtrack candidate.
+    Reversal(DporCandidate),
+}
+
+impl Candidate {
+    /// The forced decision prefix of a systematic-search candidate; `None`
+    /// for PCT seeds, which share no prefixes to dedup or resume from.
+    fn prefix(&self) -> Option<&[u32]> {
+        match self {
+            Candidate::Seed(..) => None,
+            Candidate::Branch(prefix, _) => Some(prefix),
+            Candidate::Reversal(cand) => Some(&cand.prefix),
+        }
+    }
+}
+
 /// How to execute one candidate schedule.
 struct RunPlan {
-    /// Forced decision prefix.
-    prefix: Vec<u32>,
+    cand: Candidate,
     /// Deepest retained ancestor `(image, depth, preemptions before it)`,
     /// when the tree held one.
     resume: Option<(Arc<MachineSnapshot>, usize, usize)>,
@@ -408,20 +435,21 @@ fn run_frontier<'p>(
     plan: &RunPlan,
     mask: PointMask,
 ) -> Executed {
+    let prefix = plan.cand.prefix().unwrap_or_default();
     let mut machine = Machine::with_shared_dense(program, dense.clone(), *config);
     let (mut sched, consult_base, base_preemptions, restore_wall) = match &plan.resume {
         Some((snap, depth, pre)) => {
             let restore_start = Instant::now();
             machine.restore_from(snap);
             (
-                FrontierScheduler::resume(plan.prefix.clone(), *depth, mask),
+                FrontierScheduler::resume(prefix.to_vec(), *depth, mask),
                 *depth,
                 *pre,
                 restore_start.elapsed(),
             )
         }
         None => (
-            FrontierScheduler::new(plan.prefix.clone(), mask),
+            FrontierScheduler::new(prefix.to_vec(), mask),
             0,
             0,
             Duration::ZERO,
@@ -430,7 +458,7 @@ fn run_frontier<'p>(
     // Capture where this run's own children will branch: at and past the
     // forced frontier (the depth-0 root state is the machine's initial
     // state — the first consult fires on step one — so skip it).
-    let capture_from = plan.prefix.len().max(1);
+    let capture_from = prefix.len().max(1);
     let (result, snaps) = machine.run_captured_at_branches(&mut sched, capture_from, plan.capture);
     debug_assert!(!sched.infeasible(), "prefixes come from recorded runs");
     let picks = sched.picks();
@@ -663,13 +691,11 @@ fn absorb_snapshots(tree: &mut SnapshotTree, report: &mut ExploreReport, ex: &mu
     }
 }
 
-/// Width of wave `i`: the 16 → 256 ramp, or the `--wave` override. A
-/// function of the wave index only — never of `jobs` or the stop mode —
-/// so the explored schedule set is invariant across both.
-fn wave_width(ec: &ExploreConfig, wave: usize) -> usize {
-    ec.wave
-        .unwrap_or_else(|| (WAVE_BASE << wave.min(4)).min(WAVE_MAX))
-        .max(1)
+/// Width of wave `i` on the 16 → 256 ramp. A function of the wave index
+/// only — never of `jobs` — so the explored schedule set is invariant
+/// across job counts.
+fn wave_width(wave: usize) -> usize {
+    (WAVE_BASE << wave.min(4)).min(WAVE_MAX)
 }
 
 /// Observability hooks for [`explore_observed`]: a [`MetricsRegistry`] the
@@ -721,12 +747,14 @@ impl ExploreObserver {
         &self.registry
     }
 
-    /// Folds one executed run's per-run telemetry into the registry.
-    fn observe_run(&mut self, strategy: ExploreStrategy, ex: &Executed) {
-        match strategy {
-            ExploreStrategy::Bounded { .. } => self.registry.decisions_bounded.add(ex.picks),
-            ExploreStrategy::Dpor { .. } => self.registry.decisions_dpor.add(ex.picks),
-            ExploreStrategy::Pct { .. } => {
+    /// Folds one executed run's per-run telemetry into the registry. The
+    /// probe is a frontier run under every strategy, so its decisions
+    /// count as bounded ones except in a DPOR search.
+    fn observe_run(&mut self, cand: &Candidate, ex: &Executed) {
+        match cand {
+            Candidate::Branch(..) => self.registry.decisions_bounded.add(ex.picks),
+            Candidate::Reversal(_) => self.registry.decisions_dpor.add(ex.picks),
+            Candidate::Seed(..) => {
                 self.registry.decisions_pct.add(ex.picks);
                 self.registry.pct_demotions.add(ex.demotions);
             }
@@ -847,6 +875,244 @@ impl PhaseClock {
     }
 }
 
+/// The strategy-specific half of a search: where candidates come from and
+/// what an executed run feeds back. Everything else — wave widths, dedup,
+/// snapshot resume, fan-out, the index-order merge and observation — is
+/// the one wave loop in [`explore_observed`].
+enum Frontier {
+    /// PCT: candidates are seeds `seed + i`; nothing flows back from a run.
+    Pct { cfg: PctConfig, seed: u64 },
+    /// Bounded preemption: breadth-first over branch points; children are
+    /// enqueued in (parent schedule index, decision index, thread id)
+    /// order, each with the preemptions its forced prefix spends.
+    Bounded {
+        queue: VecDeque<(Vec<u32>, usize)>,
+        preemptions: usize,
+        /// Independence pruning is only sound when a consult's transition
+        /// is a single instruction wide: under sync-only masks the silent
+        /// continuation between consults performs shared accesses the
+        /// footprints don't see.
+        prune: bool,
+    },
+    /// DPOR: race analysis of each run, in schedule-index order, inserts
+    /// the candidates that reverse its races and updates the node table.
+    Dpor {
+        queue: VecDeque<DporCandidate>,
+        nodes: NodeTable,
+        preemptions: usize,
+        threads: usize,
+    },
+}
+
+impl Frontier {
+    fn new(ec: &ExploreConfig, probe_decisions: u64, threads: usize) -> Self {
+        match ec.strategy {
+            ExploreStrategy::Pct { depth } => Frontier::Pct {
+                cfg: PctConfig {
+                    depth,
+                    k: probe_decisions.max(16),
+                    mask: ec.mask,
+                },
+                seed: ec.seed,
+            },
+            ExploreStrategy::Bounded { preemptions } => Frontier::Bounded {
+                queue: VecDeque::new(),
+                preemptions,
+                prune: ec.mask.contains(PointKind::SharedAccess),
+            },
+            ExploreStrategy::Dpor { preemptions } => Frontier::Dpor {
+                queue: VecDeque::new(),
+                nodes: NodeTable::default(),
+                preemptions,
+                threads,
+            },
+        }
+    }
+
+    /// Width of wave `wave` with `remaining` budget left. PCT runs are
+    /// mutually independent — nothing flows between waves except the
+    /// stop-at-first check. Without it, the ramp only inserts fan-out
+    /// barriers between runs that never needed to synchronize, so one
+    /// wave takes the entire remaining budget; the ramp stays for
+    /// stop-at-first searches, where small early waves keep the search
+    /// from overshooting the first failure.
+    fn width(&self, wave: usize, remaining: usize, stop_at_first: bool) -> usize {
+        if !self.systematic() && !stop_at_first {
+            remaining
+        } else {
+            wave_width(wave).min(remaining)
+        }
+    }
+
+    /// The next candidate, which would run as schedule `index`.
+    fn pop(&mut self, index: usize) -> Option<Candidate> {
+        match self {
+            Frontier::Pct { cfg, seed } => {
+                Some(Candidate::Seed(seed.wrapping_add(index as u64), *cfg))
+            }
+            Frontier::Bounded { queue, .. } => queue
+                .pop_front()
+                .map(|(prefix, cost)| Candidate::Branch(prefix, cost)),
+            Frontier::Dpor {
+                queue, preemptions, ..
+            } => queue.pop_front().map(|cand| {
+                debug_assert!(cand.cost <= *preemptions, "over-budget candidate enqueued");
+                Candidate::Reversal(cand)
+            }),
+        }
+    }
+
+    /// Whether `cand`'s run may capture snapshots. A bounded candidate
+    /// already at the bound can never enqueue preemptive children of its
+    /// own, so its captures would be dead weight (for two-thread programs
+    /// every branch past the root is a preemption).
+    fn may_capture(&self, cand: &Candidate) -> bool {
+        match (self, cand) {
+            (Frontier::Bounded { preemptions, .. }, Candidate::Branch(_, cost)) => {
+                cost < preemptions
+            }
+            _ => true,
+        }
+    }
+
+    /// Feeds an executed run back: its within-bound children (bounded) or
+    /// its race reversals (DPOR).
+    fn absorb(&mut self, cand: &Candidate, ex: &mut Executed, report: &mut ExploreReport) {
+        match self {
+            Frontier::Pct { .. } => {}
+            Frontier::Bounded {
+                queue,
+                preemptions,
+                prune,
+            } => {
+                let frontier = cand.prefix().map_or(0, <[u32]>::len);
+                push_children(queue, ex, frontier, *preemptions, *prune, report);
+            }
+            Frontier::Dpor {
+                queue,
+                nodes,
+                preemptions,
+                threads,
+            } => {
+                let Candidate::Reversal(cand) = cand else {
+                    unreachable!("a DPOR frontier runs reversal candidates only");
+                };
+                let own = Arc::new(std::mem::take(&mut ex.consults));
+                let analysis = dpor::analyze(
+                    cand,
+                    &own,
+                    ex.consult_base,
+                    &ex.trace.decisions,
+                    *threads,
+                    *preemptions,
+                    nodes,
+                    prefix_hash,
+                );
+                report.dpor.races_detected += analysis.races;
+                report.dpor.sleep_skips += analysis.sleep_skips;
+                report.dpor.backtrack_points += analysis.candidates.len() as u64;
+                queue.extend(analysis.candidates);
+            }
+        }
+    }
+
+    /// Candidates still queued (0 for PCT, which generates them).
+    fn pending(&self) -> usize {
+        match self {
+            Frontier::Pct { .. } => 0,
+            Frontier::Bounded { queue, .. } => queue.len(),
+            Frontier::Dpor { queue, .. } => queue.len(),
+        }
+    }
+
+    /// Whether candidates are forced prefixes of one schedule tree — the
+    /// searches that dedup and snapshot resume serve (not PCT).
+    fn systematic(&self) -> bool {
+        !matches!(self, Frontier::Pct { .. })
+    }
+
+    /// Whether a systematic search has drained its frontier.
+    fn exhausted(&self) -> bool {
+        self.systematic() && self.pending() == 0
+    }
+}
+
+/// The exploring thread's state. Waves are assembled from it and merged
+/// back into it in schedule-index order, so the cache, the dedup set and
+/// the frontier behave identically whatever executes the runs.
+struct Search {
+    report: ExploreReport,
+    frontier: Frontier,
+    seen: HashSet<u64>,
+    tree: SnapshotTree,
+    clock: PhaseClock,
+}
+
+impl Search {
+    fn done(&self, ec: &ExploreConfig) -> bool {
+        self.report.schedules >= ec.budget
+            || (ec.stop_at_first && self.report.first_failure.is_some())
+    }
+
+    /// Pops up to `room` candidates: already-executed prefixes are
+    /// skipped, the rest resume from their deepest retained ancestor.
+    fn assemble(&mut self, room: usize, capture: usize) -> Vec<RunPlan> {
+        let mut plans: Vec<RunPlan> = Vec::with_capacity(room);
+        while plans.len() < room {
+            let Some(cand) = self.frontier.pop(self.report.schedules + plans.len()) else {
+                break;
+            };
+            let (resume, capture) = match cand.prefix() {
+                None => (None, 0),
+                Some(prefix) => {
+                    if self.seen.contains(&prefix_hash(prefix)) {
+                        self.report.dedup_skips += 1;
+                        continue;
+                    }
+                    let resume = self.tree.lookup(prefix);
+                    if let Some((snap, _, _)) = &resume {
+                        self.report.snapshot_hits += 1;
+                        self.report.steps_saved += snap.step();
+                    }
+                    let may = self.frontier.may_capture(&cand);
+                    (resume, if may { capture } else { 0 })
+                }
+            };
+            plans.push(RunPlan {
+                cand,
+                resume,
+                capture,
+            });
+        }
+        plans
+    }
+
+    /// Folds one executed run in as the next schedule index.
+    fn merge(&mut self, plan: &RunPlan, mut ex: Executed, observer: Option<&mut ExploreObserver>) {
+        let report = &mut self.report;
+        if ex.outcome.is_failure() {
+            report.failures += 1;
+            if report.first_failure.is_none() {
+                report.first_failure = Some(FoundSchedule {
+                    index: report.schedules,
+                    outcome: ex.outcome.clone(),
+                    trace: ex.trace.clone(),
+                });
+            }
+        }
+        report.schedules += 1;
+        if let (true, Some(prefix)) = (self.frontier.systematic(), plan.cand.prefix()) {
+            note_executed(&mut self.seen, prefix.len(), &ex.trace.decisions);
+            absorb_snapshots(&mut self.tree, report, &mut ex);
+        }
+        self.frontier.absorb(&plan.cand, &mut ex, report);
+        self.clock.note_run(&ex);
+        if let Some(obs) = observer {
+            obs.observe_run(&plan.cand, &ex);
+        }
+    }
+}
+
 /// Explores schedules of `program` under `config` per `ec`.
 ///
 /// No schedule script is involved: exploration exists to find
@@ -889,28 +1155,6 @@ pub fn explore_observed(
     // One lowering shared by every run of the search (and every worker).
     let dense = Arc::new(DenseProgram::new(&program.module));
 
-    let mut report = ExploreReport {
-        strategy: ec.strategy.label(),
-        mask: ec.mask.bits(),
-        budget: ec.budget,
-        schedules: 0,
-        failures: 0,
-        first_failure: None,
-        frontier: 0,
-        probe_decisions: 0,
-        snapshots_taken: 0,
-        snapshot_hits: 0,
-        steps_saved: 0,
-        dedup_skips: 0,
-        independence_skips: 0,
-        wave_widths: Vec::new(),
-        dpor: DporCounters::default(),
-        exhausted: false,
-        wall_ms: 0,
-        phases: ExplorePhases::default(),
-    };
-    let mut clock = PhaseClock::default();
-
     // Snapshots only pay off for the systematic trees (PCT runs share no
     // forced prefixes).
     let capture = match ec.strategy {
@@ -922,360 +1166,101 @@ pub fn explore_observed(
         _ => 0,
     };
 
-    // Schedule 0 in both strategies: the probe — the non-preemptive
+    // Schedule 0 under every strategy: the probe — the non-preemptive
     // default schedule (empty forced prefix). It measures PCT's `k`, is
-    // the root of the bounded search tree, and catches bugs that need no
-    // preemption at all.
-    let probe_plan = RunPlan {
-        prefix: Vec::new(),
+    // the root of the systematic search trees, and catches bugs that need
+    // no preemption at all.
+    let root = match ec.strategy {
+        ExploreStrategy::Dpor { .. } => Candidate::Reversal(DporCandidate::root()),
+        _ => Candidate::Branch(Vec::new(), 0),
+    };
+    let probe = RunPlan {
+        cand: root,
         resume: None,
         capture,
     };
-    let mut probe = run_frontier(program, &cfg, &dense, &probe_plan, ec.mask);
-    report.probe_decisions = probe.trace.len() as u64;
-    clock.note_run(&probe);
-    if let Some(obs) = observer.as_deref_mut() {
-        // The probe is a frontier (non-preemptive default) run under every
-        // strategy; its decisions count toward the strategy's own counter
-        // for the systematic searches.
-        let probe_strategy = match ec.strategy {
-            ExploreStrategy::Dpor { .. } => ec.strategy,
-            _ => ExploreStrategy::Bounded { preemptions: 0 },
-        };
-        obs.observe_run(probe_strategy, &probe);
-    }
-    let record = |report: &mut ExploreReport, index: usize, ex: &Executed| {
-        report.schedules += 1;
-        if ex.outcome.is_failure() {
-            report.failures += 1;
-            if report.first_failure.is_none() {
-                report.first_failure = Some(FoundSchedule {
-                    index,
-                    outcome: ex.outcome.clone(),
-                    trace: ex.trace.clone(),
-                });
-            }
-        }
+    let probe_run = run_frontier(program, &cfg, &dense, &probe, ec.mask);
+    let probe_decisions = probe_run.trace.len() as u64;
+    let mut s = Search {
+        report: ExploreReport {
+            strategy: ec.strategy.label(),
+            mask: ec.mask.bits(),
+            budget: ec.budget,
+            probe_decisions,
+            ..ExploreReport::default()
+        },
+        frontier: Frontier::new(ec, probe_decisions, program.threads.len()),
+        seen: HashSet::new(),
+        tree: SnapshotTree::new(ec.snapshot_budget),
+        clock: PhaseClock::default(),
     };
-    record(&mut report, 0, &probe);
+    s.merge(&probe, probe_run, observer.as_deref_mut());
 
     let pool = TrialPool::auto(ec.jobs);
-    let done = |report: &ExploreReport| {
-        report.schedules >= ec.budget || (ec.stop_at_first && report.first_failure.is_some())
-    };
-
-    match ec.strategy {
-        ExploreStrategy::Pct { depth } => {
-            let pct = PctConfig {
-                depth,
-                k: ec.pct_k.unwrap_or_else(|| report.probe_decisions.max(16)),
-                mask: ec.mask,
-            };
-            let mut wave = 0usize;
-            while !done(&report) {
-                let wave_start = Instant::now();
-                let base = report.schedules;
-                // PCT runs are mutually independent — nothing flows between
-                // waves except the stop-at-first check. Without it, the
-                // 16 → 256 ramp only inserts fan-out barriers (a fresh
-                // thread scope + channel drain per wave) between runs that
-                // never needed to synchronize: on a full-budget search that
-                // overhead ate the whole parallel speedup. One wave takes
-                // the entire remaining budget instead; the ramp stays for
-                // stop-at-first searches, where small early waves keep the
-                // search from overshooting the first failure.
-                let count = if ec.stop_at_first {
-                    wave_width(ec, wave).min(ec.budget - base)
-                } else {
-                    ec.budget - base
-                };
-                report.wave_widths.push(count as u64);
-                let results = pool.map(count, |j| {
-                    run_pct(program, &cfg, &dense, ec.seed + (base + j) as u64, pct)
-                });
-                let merge_start = Instant::now();
-                for (j, ex) in results.iter().enumerate() {
-                    record(&mut report, base + j, ex);
-                    clock.note_run(ex);
-                    if let Some(obs) = observer.as_deref_mut() {
-                        obs.observe_run(ec.strategy, ex);
-                    }
-                }
-                clock.merge += merge_start.elapsed();
-                report.phases = clock.to_phases();
-                if let Some(obs) = observer.as_deref_mut() {
-                    obs.observe_wave(
-                        &report,
-                        start.elapsed().as_millis() as u64,
-                        &WaveObs {
-                            wave: wave as u64,
-                            width: count as u64,
-                            executed: count as u64,
-                            wall_us: wave_start.elapsed().as_micros() as u64,
-                            frontier: 0,
-                            tree_nodes: 0,
-                            tree_evictions: 0,
-                            tree_resident_bytes: 0,
-                            tree_owned_pages: 0,
-                            tree_shared_pages: 0,
-                            last: done(&report),
-                        },
-                    );
-                }
-                wave += 1;
-            }
+    let mut wave = 0usize;
+    while !s.done(ec) {
+        let wave_start = Instant::now();
+        let room = s
+            .frontier
+            .width(wave, ec.budget - s.report.schedules, ec.stop_at_first);
+        // Once the frontier outgrows the tree budget, FIFO pops lag
+        // inserts by more than the LRU can span: every capture would be
+        // evicted unused. Stop capturing; while the queue is still small,
+        // cap the wave's total inserts near the tree budget so one wide
+        // wave cannot evict the ancestors the next wave is about to resume
+        // from. Both knobs read only wave-boundary state, so they stay
+        // jobs-invariant.
+        let wave_capture = if s.frontier.pending() <= ec.snapshot_budget {
+            capture.min((ec.snapshot_budget / room.max(1)).max(1))
+        } else {
+            0
+        };
+        let assemble_start = Instant::now();
+        let plans = s.assemble(room, wave_capture);
+        s.clock.merge += assemble_start.elapsed();
+        if plans.is_empty() {
+            break;
         }
-        ExploreStrategy::Bounded { preemptions } => {
-            // Independence pruning is only sound when a consult's
-            // transition is a single instruction wide: under sync-only
-            // masks the silent continuation between consults performs
-            // shared accesses the footprints don't see.
-            let prune = ec.mask.contains(PointKind::SharedAccess);
-            // Breadth-first over branch points; children are enqueued in
-            // (parent schedule index, decision index, thread id) order, so
-            // the visit order is deterministic.
-            // Each candidate carries the preemptions its forced prefix
-            // spends: a candidate already at the bound can never enqueue
-            // preemptive children of its own, so its run skips capturing
-            // (for two-thread programs every branch past the root is a
-            // preemption, making those captures pure dead weight).
-            let mut queue: VecDeque<(Vec<u32>, usize)> = VecDeque::new();
-            let mut seen: HashSet<u64> = HashSet::new();
-            let mut tree = SnapshotTree::new(ec.snapshot_budget);
-            note_executed(&mut seen, 0, &probe.trace.decisions);
-            absorb_snapshots(&mut tree, &mut report, &mut probe);
-            push_children(&mut queue, &probe, 0, preemptions, prune, &mut report);
-            let mut wave = 0usize;
-            while !done(&report) {
-                let wave_start = Instant::now();
-                let base = report.schedules;
-                let room = wave_width(ec, wave).min(ec.budget - base);
-                // Once the frontier outgrows the tree budget, FIFO pops
-                // lag inserts by more than the LRU can span: every capture
-                // would be evicted unused. Stop capturing; while the queue
-                // is still small, cap the wave's total inserts near the
-                // tree budget so one wide wave cannot evict the ancestors
-                // the next wave is about to resume from. Both knobs read
-                // only wave-boundary state, so they stay jobs-invariant.
-                let wave_capture = if queue.len() <= ec.snapshot_budget {
-                    capture.min((ec.snapshot_budget / room.max(1)).max(1))
-                } else {
-                    0
-                };
-                // Assemble the wave on this thread: dedup, then ancestor
-                // lookup — both in candidate order, so the cache behaves
-                // identically whatever executes the batch.
-                let assemble_start = Instant::now();
-                let mut batch: Vec<RunPlan> = Vec::with_capacity(room);
-                while batch.len() < room {
-                    let Some((prefix, cost)) = queue.pop_front() else {
-                        break;
-                    };
-                    if seen.contains(&prefix_hash(&prefix)) {
-                        report.dedup_skips += 1;
-                        continue;
-                    }
-                    let resume = tree.lookup(&prefix);
-                    if let Some((snap, _, _)) = &resume {
-                        report.snapshot_hits += 1;
-                        report.steps_saved += snap.step();
-                    }
-                    let capture = if cost >= preemptions { 0 } else { wave_capture };
-                    batch.push(RunPlan {
-                        prefix,
-                        resume,
-                        capture,
-                    });
-                }
-                clock.merge += assemble_start.elapsed();
-                if batch.is_empty() {
-                    break;
-                }
-                let results = pool.map(batch.len(), |j| {
-                    run_frontier(program, &cfg, &dense, &batch[j], ec.mask)
-                });
-                let merge_start = Instant::now();
-                let executed = results.len();
-                report.wave_widths.push(executed as u64);
-                for (j, mut ex) in results.into_iter().enumerate() {
-                    record(&mut report, base + j, &ex);
-                    note_executed(&mut seen, batch[j].prefix.len(), &ex.trace.decisions);
-                    absorb_snapshots(&mut tree, &mut report, &mut ex);
-                    push_children(
-                        &mut queue,
-                        &ex,
-                        batch[j].prefix.len(),
-                        preemptions,
-                        prune,
-                        &mut report,
-                    );
-                    clock.note_run(&ex);
-                    if let Some(obs) = observer.as_deref_mut() {
-                        obs.observe_run(ec.strategy, &ex);
-                    }
-                }
-                clock.merge += merge_start.elapsed();
-                report.phases = clock.to_phases();
-                if let Some(obs) = observer.as_deref_mut() {
-                    obs.observe_wave(
-                        &report,
-                        start.elapsed().as_millis() as u64,
-                        &WaveObs {
-                            wave: wave as u64,
-                            width: room as u64,
-                            executed: executed as u64,
-                            wall_us: wave_start.elapsed().as_micros() as u64,
-                            frontier: queue.len() as u64,
-                            tree_nodes: tree.len() as u64,
-                            tree_evictions: tree.evictions,
-                            tree_resident_bytes: tree.resident_bytes,
-                            tree_owned_pages: tree.owned_pages,
-                            tree_shared_pages: tree.shared_pages,
-                            last: done(&report) || queue.is_empty(),
-                        },
-                    );
-                }
-                wave += 1;
-            }
-            report.frontier = queue.len();
-            report.exhausted = queue.is_empty();
+        let results = pool.map(plans.len(), |j| match &plans[j].cand {
+            Candidate::Seed(seed, pct) => run_pct(program, &cfg, &dense, *seed, *pct),
+            _ => run_frontier(program, &cfg, &dense, &plans[j], ec.mask),
+        });
+        let merge_start = Instant::now();
+        let executed = results.len();
+        s.report.wave_widths.push(executed as u64);
+        for (plan, ex) in plans.iter().zip(results) {
+            s.merge(plan, ex, observer.as_deref_mut());
         }
-        ExploreStrategy::Dpor { preemptions } => {
-            // The bounded arm's frontier machinery — seen-set dedup,
-            // snapshot-tree resume, deterministic index-order merge — but
-            // candidates come from race analysis instead of blanket
-            // branching. Each executed run is analyzed on this thread at
-            // merge time (in schedule-index order), so backtrack insertion
-            // order, the node table and the whole search are deterministic
-            // and identical across `--jobs` and cache settings.
-            let threads = program.threads.len();
-            let mut queue: VecDeque<DporCandidate> = VecDeque::new();
-            let mut seen: HashSet<u64> = HashSet::new();
-            let mut tree = SnapshotTree::new(ec.snapshot_budget);
-            let mut nodes = NodeTable::default();
-            note_executed(&mut seen, 0, &probe.trace.decisions);
-            absorb_snapshots(&mut tree, &mut report, &mut probe);
-            let own = Arc::new(std::mem::take(&mut probe.consults));
-            let analysis = dpor::analyze(
-                &DporCandidate::root(),
-                &own,
-                0,
-                &probe.trace.decisions,
-                threads,
-                preemptions,
-                &mut nodes,
-                prefix_hash,
+        s.clock.merge += merge_start.elapsed();
+        s.report.phases = s.clock.to_phases();
+        if let Some(obs) = observer.as_deref_mut() {
+            obs.observe_wave(
+                &s.report,
+                start.elapsed().as_millis() as u64,
+                &WaveObs {
+                    wave: wave as u64,
+                    width: room as u64,
+                    executed: executed as u64,
+                    wall_us: wave_start.elapsed().as_micros() as u64,
+                    frontier: s.frontier.pending() as u64,
+                    tree_nodes: s.tree.len() as u64,
+                    tree_evictions: s.tree.evictions,
+                    tree_resident_bytes: s.tree.resident_bytes,
+                    tree_owned_pages: s.tree.owned_pages,
+                    tree_shared_pages: s.tree.shared_pages,
+                    last: s.done(ec) || s.frontier.exhausted(),
+                },
             );
-            absorb_analysis(&mut report, &mut queue, analysis);
-            let mut wave = 0usize;
-            while !done(&report) {
-                let wave_start = Instant::now();
-                let base = report.schedules;
-                let room = wave_width(ec, wave).min(ec.budget - base);
-                // Same cache-pressure guard as the bounded arm.
-                let wave_capture = if queue.len() <= ec.snapshot_budget {
-                    capture.min((ec.snapshot_budget / room.max(1)).max(1))
-                } else {
-                    0
-                };
-                let assemble_start = Instant::now();
-                let mut plans: Vec<RunPlan> = Vec::with_capacity(room);
-                let mut cands: Vec<DporCandidate> = Vec::with_capacity(room);
-                while plans.len() < room {
-                    let Some(cand) = queue.pop_front() else {
-                        break;
-                    };
-                    debug_assert!(cand.cost <= preemptions, "over-budget candidate enqueued");
-                    if seen.contains(&prefix_hash(&cand.prefix)) {
-                        report.dedup_skips += 1;
-                        continue;
-                    }
-                    let resume = tree.lookup(&cand.prefix);
-                    if let Some((snap, _, _)) = &resume {
-                        report.snapshot_hits += 1;
-                        report.steps_saved += snap.step();
-                    }
-                    plans.push(RunPlan {
-                        prefix: cand.prefix.clone(),
-                        resume,
-                        capture: wave_capture,
-                    });
-                    cands.push(cand);
-                }
-                clock.merge += assemble_start.elapsed();
-                if plans.is_empty() {
-                    break;
-                }
-                let results = pool.map(plans.len(), |j| {
-                    run_frontier(program, &cfg, &dense, &plans[j], ec.mask)
-                });
-                let merge_start = Instant::now();
-                let executed = results.len();
-                report.wave_widths.push(executed as u64);
-                for (j, mut ex) in results.into_iter().enumerate() {
-                    record(&mut report, base + j, &ex);
-                    note_executed(&mut seen, plans[j].prefix.len(), &ex.trace.decisions);
-                    absorb_snapshots(&mut tree, &mut report, &mut ex);
-                    let own = Arc::new(std::mem::take(&mut ex.consults));
-                    let analysis = dpor::analyze(
-                        &cands[j],
-                        &own,
-                        ex.consult_base,
-                        &ex.trace.decisions,
-                        threads,
-                        preemptions,
-                        &mut nodes,
-                        prefix_hash,
-                    );
-                    absorb_analysis(&mut report, &mut queue, analysis);
-                    clock.note_run(&ex);
-                    if let Some(obs) = observer.as_deref_mut() {
-                        obs.observe_run(ec.strategy, &ex);
-                    }
-                }
-                clock.merge += merge_start.elapsed();
-                report.phases = clock.to_phases();
-                if let Some(obs) = observer.as_deref_mut() {
-                    obs.observe_wave(
-                        &report,
-                        start.elapsed().as_millis() as u64,
-                        &WaveObs {
-                            wave: wave as u64,
-                            width: room as u64,
-                            executed: executed as u64,
-                            wall_us: wave_start.elapsed().as_micros() as u64,
-                            frontier: queue.len() as u64,
-                            tree_nodes: tree.len() as u64,
-                            tree_evictions: tree.evictions,
-                            tree_resident_bytes: tree.resident_bytes,
-                            tree_owned_pages: tree.owned_pages,
-                            tree_shared_pages: tree.shared_pages,
-                            last: done(&report) || queue.is_empty(),
-                        },
-                    );
-                }
-                wave += 1;
-            }
-            report.frontier = queue.len();
-            report.exhausted = queue.is_empty();
         }
+        wave += 1;
     }
 
-    report.phases = clock.to_phases();
+    let mut report = s.report;
+    report.frontier = s.frontier.pending();
+    report.exhausted = s.frontier.exhausted();
+    report.phases = s.clock.to_phases();
     report.wall_ms = start.elapsed().as_millis() as u64;
     report
-}
-
-/// Folds one run's race analysis into the report and the frontier.
-fn absorb_analysis(
-    report: &mut ExploreReport,
-    queue: &mut VecDeque<DporCandidate>,
-    analysis: dpor::Analysis,
-) {
-    report.dpor.races_detected += analysis.races;
-    report.dpor.sleep_skips += analysis.sleep_skips;
-    report.dpor.backtrack_points += analysis.candidates.len() as u64;
-    queue.extend(analysis.candidates);
 }
 
 /// Enqueues every within-budget child of an executed schedule: for each
@@ -1427,16 +1412,6 @@ mod tests {
         let report = explore(&program, &MachineConfig::default(), &ec);
         assert_eq!(report.frontier, 0, "tree exhausted");
         assert_eq!(report.dedup_skips, 0, "enumeration is duplicate-free");
-    }
-
-    #[test]
-    fn pinned_wave_width_still_finds_the_bug() {
-        let program = order_violation();
-        let mut ec = ExploreConfig::new(ExploreStrategy::Bounded { preemptions: 1 });
-        ec.wave = Some(4);
-        ec.budget = 64;
-        let report = explore(&program, &MachineConfig::default(), &ec);
-        assert!(report.first_failure.is_some());
     }
 
     #[test]
