@@ -1183,18 +1183,27 @@ pub fn cmd_explore(
     text: &str,
     opts: &ExploreOptions,
 ) -> Result<(String, Vec<(String, String)>), CliError> {
-    let (out, files, _) = explore_inner(text, opts)?;
+    let (out, files, _, _) = explore_inner(text, opts)?;
     Ok((out, files))
 }
 
 /// The shared engine of `explore` and `verify`: runs the search and
-/// returns the rendered text, the files to write, and the report (which
-/// `verify` turns into a verdict).
+/// returns the rendered text, the files to write, the report (which
+/// `verify` turns into a verdict) and the failing trace it reports —
+/// minimized when `--minimize` is set.
 #[allow(clippy::type_complexity)]
 fn explore_inner(
     text: &str,
     opts: &ExploreOptions,
-) -> Result<(String, Vec<(String, String)>, ExploreReport), CliError> {
+) -> Result<
+    (
+        String,
+        Vec<(String, String)>,
+        ExploreReport,
+        Option<DecisionTrace>,
+    ),
+    CliError,
+> {
     let module = load(text)?;
     let entries = resolve_entries(&module, &opts.threads)?;
     let names: Vec<&str> = entries.iter().map(String::as_str).collect();
@@ -1307,7 +1316,7 @@ fn explore_inner(
         report.failures,
         report.failures_per_1k()
     );
-    match &report.first_failure {
+    let counterexample = match &report.first_failure {
         Some(found) => {
             let _ = writeln!(
                 out,
@@ -1331,8 +1340,12 @@ fn explore_inner(
                 }
                 let _ = writeln!(
                     out,
-                    "minimized: {} -> {} decisions ({} candidate replays)",
-                    min.original_len, min.minimized_len, min.candidates
+                    "minimized: {} -> {} decisions ({} candidate replays, {} resumed, {} steps saved)",
+                    min.original_len,
+                    min.minimized_len,
+                    min.candidates,
+                    min.resumed,
+                    min.steps_saved
                 );
                 min.trace
             } else {
@@ -1342,6 +1355,7 @@ fn explore_inner(
                 files.push((path.clone(), final_trace.to_json()));
                 let _ = writeln!(out, "replay with: run --replay {path}");
             }
+            Some(final_trace)
         }
         None => {
             let _ = writeln!(out, "no failing schedule found within the budget");
@@ -1352,8 +1366,9 @@ fn explore_inner(
                     opts.preemptions
                 );
             }
+            None
         }
-    }
+    };
     let d = &report.dpor;
     if d.races_detected > 0 || d.backtrack_points > 0 || d.sleep_skips > 0 {
         let _ = writeln!(
@@ -1397,7 +1412,7 @@ fn explore_inner(
     if let Some(path) = &opts.progress_out {
         files.push((path.clone(), to_jsonl(&buffer.take())));
     }
-    Ok((out, files, report))
+    Ok((out, files, report, counterexample))
 }
 
 /// The engine of the `verify` subcommand: an exhaustive DPOR search with
@@ -1417,14 +1432,17 @@ pub fn cmd_verify(
     opts.scheduler = "dpor".into();
     // A single counterexample settles the verdict.
     opts.keep_going = false;
-    let (mut out, files, report) = explore_inner(text, &opts)?;
-    match (&report.first_failure, report.exhausted) {
-        (Some(found), _) => {
+    let (mut out, files, report, counterexample) = explore_inner(text, &opts)?;
+    match (
+        report.first_failure.as_ref().zip(counterexample),
+        report.exhausted,
+    ) {
+        (Some((found, trace)), _) => {
             let _ = writeln!(
                 out,
                 "verdict: COUNTEREXAMPLE — schedule #{} fails ({} decisions{})",
                 found.index,
-                found.trace.len(),
+                trace.len(),
                 if opts.minimize {
                     ", minimized above"
                 } else {
@@ -2688,6 +2706,59 @@ bb0:
         };
         let (out, _) = cmd_explore(ORDER_VIOLATION, &opts).unwrap();
         assert!(out.contains("explored 8 schedules"), "{out}");
+    }
+
+    /// An order violation behind a chatty first thread: the default
+    /// schedule fails only after `chatter` has run every store, while
+    /// preempting it at once fails on the first decision.
+    const NOISY: &str = "module noisy {
+global flag [1 x i64] = 0
+global noise [1 x i64] = 0
+fn chatter(params=0, regs=0, locals=0) {
+bb0:
+    stg @g1, 1
+    stg @g1, 2
+    stg @g1, 3
+    stg @g1, 4
+    stg @g1, 5
+    stg @g1, 6
+    ret
+}
+fn reader(params=0, regs=2, locals=0) {
+bb0:
+    %r0 = ldg @g0
+    %r1 = cmp.ne %r0, 0
+    assert %r1, \"flag set\"
+    ret
+}
+fn writer(params=0, regs=0, locals=0) {
+bb0:
+    stg @g0, 1
+    ret
+}
+}";
+
+    #[test]
+    fn verify_verdict_reports_the_minimized_length() {
+        let Command::Verify { opts, .. } = parse_args(&args(&["verify", "noisy.cir"])).unwrap()
+        else {
+            panic!("verify parses to Command::Verify");
+        };
+        let (out, _) = cmd_verify(NOISY, &opts).unwrap();
+        assert!(
+            out.contains("first failure: schedule #0, 8 decisions"),
+            "{out}"
+        );
+        assert!(
+            out.contains("minimized: 8 -> 1 decisions (8 candidate replays, 5 resumed,"),
+            "{out}"
+        );
+        assert!(
+            out.contains(
+                "verdict: COUNTEREXAMPLE — schedule #0 fails (1 decisions, minimized above)"
+            ),
+            "{out}"
+        );
     }
 
     #[test]

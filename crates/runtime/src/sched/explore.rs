@@ -539,7 +539,7 @@ struct SnapshotTree {
 /// node-count budget alone no longer bounds memory (8192 mostly-shared
 /// images are cheap, 8192 fully-dirtied ones are not); eviction also
 /// fires when insert-time owned bytes exceed this.
-const SNAPSHOT_BYTE_BUDGET: u64 = 256 << 20;
+pub(super) const SNAPSHOT_BYTE_BUDGET: u64 = 256 << 20;
 
 struct TreeNode {
     snap: Arc<MachineSnapshot>,

@@ -53,9 +53,16 @@ pub struct ReplayScheduler {
 impl ReplayScheduler {
     /// A scheduler replaying `trace`.
     pub fn new(trace: DecisionTrace) -> Self {
+        Self::resume(trace, 0)
+    }
+
+    /// A scheduler replaying `trace` on a machine restored from a snapshot
+    /// taken just before decision `start`: the next pick is
+    /// `trace.decisions[start]`, and [`Divergence`] indices stay absolute.
+    pub fn resume(trace: DecisionTrace, start: usize) -> Self {
         Self {
             trace,
-            idx: 0,
+            idx: start,
             divergence: None,
         }
     }
