@@ -1369,36 +1369,7 @@ fn explore_inner(
             None
         }
     };
-    let d = &report.dpor;
-    if d.races_detected > 0 || d.backtrack_points > 0 || d.sleep_skips > 0 {
-        let _ = writeln!(
-            out,
-            "dpor: {} races detected, {} backtrack points, {} sleep-set skips",
-            d.races_detected, d.backtrack_points, d.sleep_skips
-        );
-    }
-    if report.snapshots_taken > 0 || report.snapshot_hits > 0 {
-        let _ = writeln!(
-            out,
-            "snapshot tree: {} taken, {} schedules resumed, {} steps saved",
-            report.snapshots_taken, report.snapshot_hits, report.steps_saved
-        );
-    }
-    if report.dedup_skips > 0 || report.independence_skips > 0 {
-        let _ = writeln!(
-            out,
-            "pruned: {} duplicate traces, {} independent alternatives",
-            report.dedup_skips, report.independence_skips
-        );
-    }
-    if report.phases.total_us() > 0 {
-        let p = &report.phases;
-        let _ = writeln!(
-            out,
-            "phases (us): capture {}, restore {}, interpret {}, merge {}, minimize {}",
-            p.capture_us, p.restore_us, p.interpret_us, p.merge_us, p.minimize_us
-        );
-    }
+    render_report_counters(&mut out, &report, "");
     let _ = writeln!(out, "wall time: {} ms", report.wall_ms);
 
     if let Some(path) = &opts.report_out {
@@ -1510,41 +1481,49 @@ fn render_explore_report(report: &ExploreReport) -> String {
         let _ = writeln!(out, "  unexplored frontier: {} prefixes", report.frontier);
     }
     let _ = writeln!(out, "  probe decisions: {}", report.probe_decisions);
+    if report.exhausted {
+        let _ = writeln!(out, "  exhausted: search space fully explored");
+    }
+    render_report_counters(&mut out, report, "  ");
+    let _ = writeln!(out, "  wall time: {} ms", report.wall_ms);
+    out
+}
+
+/// Writes an exploration report's counter lines (snapshot tree, pruned
+/// duplicates, DPOR, phase breakdown), each prefixed by `indent` and each
+/// omitted while its counters are zero. `explore` and `report` print the
+/// same lines through this one function.
+fn render_report_counters(out: &mut String, report: &ExploreReport, indent: &str) {
     if report.snapshots_taken > 0 || report.snapshot_hits > 0 {
         let _ = writeln!(
             out,
-            "  snapshot tree: {} taken, {} hits, {} steps saved",
+            "{indent}snapshot tree: {} taken, {} schedules resumed, {} steps saved",
             report.snapshots_taken, report.snapshot_hits, report.steps_saved
         );
     }
-    if report.dedup_skips > 0 || report.independence_skips > 0 {
+    if report.dedup_skips > 0 {
         let _ = writeln!(
             out,
-            "  pruned: {} duplicate traces, {} independent alternatives",
-            report.dedup_skips, report.independence_skips
+            "{indent}pruned: {} duplicate traces",
+            report.dedup_skips
         );
     }
     let d = &report.dpor;
     if d.races_detected > 0 || d.backtrack_points > 0 || d.sleep_skips > 0 {
         let _ = writeln!(
             out,
-            "  dpor: {} races detected, {} backtrack points, {} sleep-set skips",
+            "{indent}dpor: {} races detected, {} backtrack points, {} sleep-set skips",
             d.races_detected, d.backtrack_points, d.sleep_skips
         );
-    }
-    if report.exhausted {
-        let _ = writeln!(out, "  exhausted: search space fully explored");
     }
     if report.phases.total_us() > 0 {
         let p = &report.phases;
         let _ = writeln!(
             out,
-            "  phases (us): capture {}, restore {}, interpret {}, merge {}, minimize {}",
+            "{indent}phases (us): capture {}, restore {}, interpret {}, merge {}, minimize {}",
             p.capture_us, p.restore_us, p.interpret_us, p.merge_us, p.minimize_us
         );
     }
-    let _ = writeln!(out, "  wall time: {} ms", report.wall_ms);
-    out
 }
 
 /// Renders a recorded decision trace (`run --record` / `explore -o` JSON).

@@ -178,20 +178,18 @@ pub struct TrialPool {
 }
 
 impl TrialPool {
-    /// A pool with `jobs` workers (`0` and `1` both mean "run inline").
+    /// A pool with `jobs` workers (`0` and `1` both mean "run inline"),
+    /// clamped to the machine's available parallelism. For CPU-bound tasks
+    /// extra workers only add context switches and allocator contention
+    /// (on a single-core host a `--jobs 4` fan-out ran ~10% *slower* than
+    /// sequential), and an unclamped `--jobs N` would start N OS threads;
+    /// since [`TrialPool::map`] returns identical results at any worker
+    /// count, clamping is a pure perf decision.
     pub fn new(jobs: usize) -> Self {
-        Self { jobs: jobs.max(1) }
-    }
-
-    /// A pool with `jobs` workers, clamped to the machine's available
-    /// parallelism. For CPU-bound tasks extra workers only add context
-    /// switches and allocator contention (on a single-core host a
-    /// `--jobs 4` fan-out ran ~10% *slower* than sequential); since
-    /// [`TrialPool::map`] returns identical results at any worker count,
-    /// clamping is a pure perf decision.
-    pub fn auto(jobs: usize) -> Self {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::new(jobs.min(cores))
+        Self {
+            jobs: jobs.clamp(1, cores),
+        }
     }
 
     /// Worker count.

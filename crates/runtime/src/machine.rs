@@ -33,7 +33,7 @@ use crate::deadlock::WaitEdge;
 use crate::dense::DenseProgram;
 use crate::locks::{AcquireResult, LockTable, ThreadId};
 use crate::memory::{Memory, DEFAULT_LOWER_BOUND};
-use crate::metrics::{MetricsRegistry, RunMetrics};
+use crate::metrics::RunMetrics;
 use crate::outcome::{FailureRecord, OutputRecord, RunOutcome, RunResult, RunStats, SiteRecovery};
 use crate::program::Program;
 use crate::sched::{
@@ -391,10 +391,6 @@ pub struct Machine<'p> {
     /// plan — the explorer's self-profiling "capture" phase.
     capture_wall: Duration,
     sink: Option<Box<dyn TraceSink>>,
-    /// When set, every executed instruction bumps the registry's
-    /// per-opcode `dispatch_mix` counter (`bench_interp --dispatch-mix`).
-    /// Forces single-step dispatch so fused pairs count as two.
-    mix: Option<MetricsRegistry>,
 }
 
 impl<'p> Machine<'p> {
@@ -464,7 +460,6 @@ impl<'p> Machine<'p> {
             capture_final: false,
             capture_wall: Duration::ZERO,
             sink: None,
-            mix: None,
         }
     }
 
@@ -580,15 +575,6 @@ impl<'p> Machine<'p> {
     /// a sink is present.
     pub fn with_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
         self.sink = Some(sink);
-        self
-    }
-
-    /// Streams a per-opcode execution-count histogram into `registry`'s
-    /// `dispatch_mix` counters (`bench_interp --dispatch-mix`). Forces
-    /// one-instruction-per-dispatch so every logical instruction is
-    /// counted exactly once, fused pairs included.
-    pub fn with_dispatch_mix(mut self, registry: &MetricsRegistry) -> Self {
-        self.mix = Some(registry.clone());
         self
     }
 
@@ -896,8 +882,8 @@ impl<'p> Machine<'p> {
     /// when configured, otherwise to the decoded interpreter — *tight*
     /// (fused stream, span execution up to the next maskable scheduling
     /// point) whenever nothing needs a per-step boundary: a narrow
-    /// decision mask, no trace ring, no dispatch-mix counting, and no
-    /// thread possibly waiting on a timed lock.
+    /// decision mask, no trace ring, and no thread possibly waiting on a
+    /// timed lock.
     #[inline]
     fn dispatch_step(&mut self, tid: ThreadId, consult_every_step: bool) -> Option<RunOutcome> {
         // The dispatched thread is about to mutate: its cached capture
@@ -907,10 +893,7 @@ impl<'p> Machine<'p> {
         if self.config.dense_oracle {
             return self.step_thread_oracle(tid);
         }
-        let tight = !consult_every_step
-            && self.config.trace_depth == 0
-            && !self.maybe_timed_waiter
-            && self.mix.is_none();
+        let tight = !consult_every_step && self.config.trace_depth == 0 && !self.maybe_timed_waiter;
         self.step_thread(tid, tight)
     }
 
@@ -1183,9 +1166,6 @@ impl<'p> Machine<'p> {
                 let loc = self.dense.func(func_id).loc(func_id, pc);
                 self.threads[tid.index()].record_trace(step, loc, depth);
             }
-            if let Some(mix) = &self.mix {
-                mix.dispatch_mix[self.dense.func(func_id).inst(pc).opcode()].add(1);
-            }
 
             // A 32-byte `Copy` fetch — nothing borrowed across dispatch.
             let di = if tight {
@@ -1321,9 +1301,6 @@ impl<'p> Machine<'p> {
             let step = self.step;
             let loc = self.dense.func(func_id).loc(func_id, pc);
             self.threads[tid.index()].record_trace(step, loc, depth);
-        }
-        if let Some(mix) = &self.mix {
-            mix.dispatch_mix[inst.opcode()].add(1);
         }
         self.threads[tid.index()].stats.insts += 1;
         // Advance pc optimistically; control flow overwrites it.

@@ -448,8 +448,6 @@ pub struct RegistryInner {
     pub steps_saved: Counter,
     /// Schedule prefixes skipped by decision-trace dedup.
     pub dedup_skips: Counter,
-    /// Schedule prefixes skipped by footprint-independence pruning.
-    pub independence_skips: Counter,
     /// Live scheduler decisions made by bounded (frontier) schedulers.
     pub decisions_bounded: Counter,
     /// Live scheduler decisions made by PCT schedulers.
@@ -480,10 +478,6 @@ pub struct RegistryInner {
     /// Wall-time spent minimizing the first failure, µs (filled by the
     /// CLI, which owns minimization).
     pub phase_minimize_us: Counter,
-    /// Per-opcode execution counts, indexed by [`conair_ir::Inst::opcode`]
-    /// (filled by [`crate::Machine::with_dispatch_mix`] runs — the data
-    /// behind the superinstruction catalog).
-    pub dispatch_mix: [Counter; conair_ir::NUM_OPCODES],
 }
 
 /// Shared handle to a [`RegistryInner`]; clone to hand the same registry to
@@ -546,10 +540,6 @@ impl MetricsRegistry {
         );
         counter("conair_explore_steps_saved_total", self.steps_saved.get());
         counter("conair_explore_dedup_skips_total", self.dedup_skips.get());
-        counter(
-            "conair_explore_independence_skips_total",
-            self.independence_skips.get(),
-        );
         counter(
             "conair_explore_pct_demotions_total",
             self.pct_demotions.get(),

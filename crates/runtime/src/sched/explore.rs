@@ -30,8 +30,8 @@
 //! schedule are **bit-identical across job counts** — parallelism changes
 //! wall time only.
 //!
-//! Three layers make the systematic searches cheap without changing what
-//! they report (all deterministic, all enforced bit-identical by tests):
+//! Two layers make the systematic searches cheap without changing what
+//! they report (both deterministic, both enforced bit-identical by tests):
 //!
 //! * **Prefix-sharing snapshot tree** — bounded/CHESS neighbors share long
 //!   decision prefixes by construction, so executed runs deposit
@@ -42,10 +42,6 @@
 //!   continues deterministically, so every forced-or-longer prefix of an
 //!   executed trace identifies a schedule whose whole run is already
 //!   known. Candidates hashing into that set are skipped, not re-run.
-//! * **Independence pruning** (masks that include shared accesses only,
-//!   where a consult's transition is exactly one instruction wide) — an
-//!   alternative whose next instruction provably commutes with the chosen
-//!   thread's is not enqueued as a preemption point.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -218,7 +214,14 @@ impl ExplorePhases {
 }
 
 /// What an exploration did.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+///
+/// The core fields are required when deserializing, which keeps `conair
+/// report`'s format sniffing from mistaking other JSON shapes for a
+/// report; the fields added later (perf counters, wave widths, the DPOR
+/// counters and verdict, the phase breakdown) default when missing, so
+/// older reports keep loading. Unknown keys, such as counters of retired
+/// reductions, are ignored.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExploreReport {
     /// Strategy label (e.g. `pct(d=3)`).
     pub strategy: String,
@@ -239,95 +242,44 @@ pub struct ExploreReport {
     /// made — PCT's measured `k`.
     pub probe_decisions: u64,
     /// Snapshots deposited into the prefix tree (0 with the cache off).
+    #[serde(default)]
     pub snapshots_taken: u64,
     /// Executed schedules that resumed from a retained ancestor snapshot
     /// instead of interpreting from step zero.
+    #[serde(default)]
     pub snapshot_hits: u64,
     /// Interpreter steps those resumes skipped (sum of resumed snapshots'
     /// step counters).
+    #[serde(default)]
     pub steps_saved: u64,
     /// Candidate schedules skipped because their decision trace was
     /// provably already executed (cache-independent, so *not* zeroed by
     /// [`ExploreReport::normalized`]).
+    #[serde(default)]
     pub dedup_skips: u64,
-    /// Branch alternatives never enqueued because their footprint provably
-    /// commuted with the chosen thread's (cache-independent).
-    pub independence_skips: u64,
     /// Schedules executed by each fan-out wave, in wave order (the probe
     /// is schedule 0, outside any wave). Deterministic — widths are a
     /// function of the wave index, budget, and stop mode only, never of
     /// `jobs` — so [`ExploreReport::normalized`] keeps them.
+    #[serde(default)]
     pub wave_widths: Vec<u64>,
     /// DPOR counters: races detected, backtrack points inserted, sleep-set
     /// skips. All zero for other strategies.
+    #[serde(default)]
     pub dpor: DporCounters,
     /// Whether a systematic search (bounded or DPOR) provably covered
     /// every schedule within its preemption bound: the frontier drained
     /// before the budget or a stop-at-first failure ended the run. Always
     /// `false` for PCT. With zero failures this is the `conair verify`
     /// verdict — no failing schedule exists within the bound.
+    #[serde(default)]
     pub exhausted: bool,
     /// Wall-clock milliseconds (nondeterministic, like `phases`).
     pub wall_ms: u64,
     /// Self-profiling wall-time breakdown (nondeterministic; zeroed by
     /// [`ExploreReport::normalized`]).
+    #[serde(default)]
     pub phases: ExplorePhases,
-}
-
-/// Hand-written so reports recorded before the `phases`/self-profiling
-/// fields (PR 6) and the `dpor`/`exhausted` fields (PR 9) existed keep
-/// loading: the PR 4/5-era core fields stay required (which also keeps
-/// `conair report`'s format sniffing from mistaking other JSON shapes for
-/// a report), while the newer perf counters, the phase breakdown, and the
-/// DPOR verdict default to zero/absent when missing.
-impl serde::Deserialize for ExploreReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let pairs = v
-            .as_object_slice()
-            .ok_or_else(|| serde::Error::custom("ExploreReport: expected object"))?;
-        let opt_u64 = |name: &str| -> Result<u64, serde::Error> {
-            match pairs.iter().find(|(k, _)| k == name) {
-                Some((_, v)) => u64::from_value(v),
-                None => Ok(0),
-            }
-        };
-        let phases = match pairs.iter().find(|(k, _)| k == "phases") {
-            Some((_, v)) => ExplorePhases::from_value(v)?,
-            None => ExplorePhases::default(),
-        };
-        Ok(Self {
-            strategy: String::from_value(serde::field(pairs, "strategy")?)?,
-            mask: u8::from_value(serde::field(pairs, "mask")?)?,
-            budget: usize::from_value(serde::field(pairs, "budget")?)?,
-            schedules: usize::from_value(serde::field(pairs, "schedules")?)?,
-            failures: usize::from_value(serde::field(pairs, "failures")?)?,
-            first_failure: Option::<FoundSchedule>::from_value(serde::field(
-                pairs,
-                "first_failure",
-            )?)?,
-            frontier: usize::from_value(serde::field(pairs, "frontier")?)?,
-            probe_decisions: u64::from_value(serde::field(pairs, "probe_decisions")?)?,
-            snapshots_taken: opt_u64("snapshots_taken")?,
-            snapshot_hits: opt_u64("snapshot_hits")?,
-            steps_saved: opt_u64("steps_saved")?,
-            dedup_skips: opt_u64("dedup_skips")?,
-            independence_skips: opt_u64("independence_skips")?,
-            wave_widths: match pairs.iter().find(|(k, _)| k == "wave_widths") {
-                Some((_, v)) => Vec::<u64>::from_value(v)?,
-                None => Vec::new(),
-            },
-            dpor: match pairs.iter().find(|(k, _)| k == "dpor") {
-                Some((_, v)) => DporCounters::from_value(v)?,
-                None => DporCounters::default(),
-            },
-            exhausted: match pairs.iter().find(|(k, _)| k == "exhausted") {
-                Some((_, v)) => bool::from_value(v)?,
-                None => false,
-            },
-            wall_ms: u64::from_value(serde::field(pairs, "wall_ms")?)?,
-            phases,
-        })
-    }
 }
 
 impl ExploreReport {
@@ -348,8 +300,8 @@ impl ExploreReport {
     /// A copy with the nondeterministic wall time (total and per-phase)
     /// and the cache-dependent perf counters zeroed — equal across
     /// `--jobs` values *and* across snapshot budgets by construction
-    /// (asserted in tests and CI). `dedup_skips`/`independence_skips` are
-    /// kept: they are functions of the search alone, not of the cache.
+    /// (asserted in tests and CI). `dedup_skips` is kept: it is a function
+    /// of the search alone, not of the cache.
     /// The `dpor` counters are zeroed too (they are deterministic — raw
     /// equality is pinned separately — but zeroing keeps normalized
     /// pre-DPOR and post-DPOR reports comparable); `exhausted` is a
@@ -785,7 +737,6 @@ impl ExploreObserver {
         reg.snapshot_hits.store(report.snapshot_hits);
         reg.steps_saved.store(report.steps_saved);
         reg.dedup_skips.store(report.dedup_skips);
-        reg.independence_skips.store(report.independence_skips);
         reg.dpor_races.set(report.dpor.races_detected);
         reg.dpor_backtracks.set(report.dpor.backtrack_points);
         reg.dpor_sleep_skips.set(report.dpor.sleep_skips);
@@ -888,11 +839,6 @@ enum Frontier {
     Bounded {
         queue: VecDeque<(Vec<u32>, usize)>,
         preemptions: usize,
-        /// Independence pruning is only sound when a consult's transition
-        /// is a single instruction wide: under sync-only masks the silent
-        /// continuation between consults performs shared accesses the
-        /// footprints don't see.
-        prune: bool,
     },
     /// DPOR: race analysis of each run, in schedule-index order, inserts
     /// the candidates that reverse its races and updates the node table.
@@ -918,7 +864,6 @@ impl Frontier {
             ExploreStrategy::Bounded { preemptions } => Frontier::Bounded {
                 queue: VecDeque::new(),
                 preemptions,
-                prune: ec.mask.contains(PointKind::SharedAccess),
             },
             ExploreStrategy::Dpor { preemptions } => Frontier::Dpor {
                 queue: VecDeque::new(),
@@ -980,13 +925,9 @@ impl Frontier {
     fn absorb(&mut self, cand: &Candidate, ex: &mut Executed, report: &mut ExploreReport) {
         match self {
             Frontier::Pct { .. } => {}
-            Frontier::Bounded {
-                queue,
-                preemptions,
-                prune,
-            } => {
+            Frontier::Bounded { queue, preemptions } => {
                 let frontier = cand.prefix().map_or(0, <[u32]>::len);
-                push_children(queue, ex, frontier, *preemptions, *prune, report);
+                push_children(queue, ex, frontier, *preemptions);
             }
             Frontier::Dpor {
                 queue,
@@ -1196,7 +1137,7 @@ pub fn explore_observed(
     };
     s.merge(&probe, probe_run, observer.as_deref_mut());
 
-    let pool = TrialPool::auto(ec.jobs);
+    let pool = TrialPool::new(ec.jobs);
     let mut wave = 0usize;
     while !s.done(ec) {
         let wave_start = Instant::now();
@@ -1265,15 +1206,12 @@ pub fn explore_observed(
 
 /// Enqueues every within-budget child of an executed schedule: for each
 /// consult at or past the forced frontier, each unchosen eligible thread
-/// becomes a new prefix — unless pruned as independent of the chosen
-/// thread's step.
+/// becomes a new prefix.
 fn push_children(
     queue: &mut VecDeque<(Vec<u32>, usize)>,
     ex: &Executed,
     frontier: usize,
     preemptions: usize,
-    prune: bool,
-    report: &mut ExploreReport,
 ) {
     debug_assert!(frontier >= ex.consult_base, "resume point is an ancestor");
     let mut used = ex.base_preemptions;
@@ -1286,13 +1224,6 @@ fn push_children(
                 }
                 let cost = used + usize::from(c.is_preemption_for(alt));
                 if cost > preemptions {
-                    continue;
-                }
-                if prune
-                    && c.is_preemption_for(alt)
-                    && c.footprint_for(c.chosen).independent(c.footprint_for(alt))
-                {
-                    report.independence_skips += 1;
                     continue;
                 }
                 let mut prefix = ex.trace.decisions[..i].to_vec();
@@ -1558,7 +1489,6 @@ mod tests {
             snapshot_hits: 5,
             steps_saved: 900,
             dedup_skips: 3,
-            independence_skips: 2,
             wave_widths: vec![16, 34],
             dpor: DporCounters {
                 races_detected: 4,
@@ -1583,7 +1513,6 @@ mod tests {
         assert_eq!(norm.snapshot_hits, 0);
         assert_eq!(norm.steps_saved, 0);
         assert_eq!(norm.dedup_skips, 3, "search-shape counters survive");
-        assert_eq!(norm.independence_skips, 2);
         assert_eq!(norm.wave_widths, vec![16, 34], "widths are search shape");
         assert_eq!(norm.dpor, DporCounters::default(), "dpor counters zeroed");
         assert!(norm.exhausted, "the verdict survives normalization");
@@ -1701,7 +1630,7 @@ mod tests {
             "schedules": 10, "failures": 1, "first_failure": null,
             "frontier": 0, "probe_decisions": 7, "snapshots_taken": 4,
             "snapshot_hits": 2, "steps_saved": 100, "dedup_skips": 0,
-            "independence_skips": 5, "wall_ms": 12
+            "wall_ms": 12
         }"#;
         let report: ExploreReport = serde_json::from_str(old).unwrap();
         assert_eq!(report.schedules, 10);
@@ -1735,7 +1664,6 @@ mod tests {
             snapshot_hits: 1,
             steps_saved: 9,
             dedup_skips: 0,
-            independence_skips: 0,
             wave_widths: vec![4, 4],
             dpor: DporCounters {
                 races_detected: 2,

@@ -1,21 +1,19 @@
 //! The shared independence layer of schedule exploration: instruction
 //! [`Footprint`]s, the commutation predicate, and [`VectorClock`]s.
 //!
-//! Every systematic strategy reasons about the same question — *do two
-//! scheduler transitions commute?* — so the evidence lives in one place:
-//! the machine records a `Footprint` per eligible thread at each consult
-//! (bounded, PCT and DPOR runs all receive them through
-//! [`SchedContext::footprints`](super::SchedContext)), the bounded
-//! explorer's independence pruning and the DPOR engine's happens-before
-//! analysis both call [`Footprint::independent`], and DPOR derives
-//! per-step [`VectorClock`]s from the recorded footprints to find
-//! *reversible races* — adjacent-in-causality dependent steps whose order
-//! the search has not yet tried both ways.
+//! DPOR asks one question of each pair of steps — *do two scheduler
+//! transitions commute?* The machine records a `Footprint` per eligible
+//! thread at each consult (bounded, PCT and DPOR runs all receive them
+//! through [`SchedContext::footprints`](super::SchedContext)), the DPOR
+//! engine's happens-before analysis calls [`Footprint::independent`], and
+//! DPOR derives per-step [`VectorClock`]s from the recorded footprints to
+//! find *reversible races* — adjacent-in-causality dependent steps whose
+//! order the search has not yet tried both ways.
 
 use crate::locks::ThreadId;
 
 /// The first shared effect a thread's next instruction would have — the
-/// evidence the explorer's independence check works from. Two adjacent
+/// evidence DPOR's independence check works from. Two adjacent
 /// decisions with provably disjoint footprints commute, so only one of
 /// their orders needs exploring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -41,4 +41,4 @@ pub use meta::{meta_by_name, RootCause, Symptom, WorkloadMeta, TABLE2};
 pub use micro::{build_micro, AtomicityPattern, MicroWorkload};
 pub use registry::{all_workloads, workload_by_name, WORKLOAD_NAMES};
 pub use spec::Workload;
-pub use stress::{checkpoint_dense_control, checkpoint_dense_program, rollback_dense_program};
+pub use stress::rollback_dense_program;

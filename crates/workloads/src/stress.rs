@@ -1,23 +1,15 @@
-//! Checkpoint-density stress programs for the featherweight-checkpoint
-//! benchmark (`bench_interp --checkpoint`, `BENCH_checkpoint.json`).
+//! Rollback-density stress program for the featherweight-checkpoint
+//! machinery.
 //!
 //! The paper's cost model (§3.3, Table 7) calls a checkpoint "saving a few
 //! registers" — cheap enough to execute on hot paths at every reexecution
-//! point. These single-threaded programs put that claim under a microscope:
-//!
-//! * [`checkpoint_dense_program`] executes a checkpoint every loop
-//!   iteration inside a deliberately *wide* frame (`regs` virtual
-//!   registers), so any checkpoint implementation whose cost scales with
-//!   frame size is exposed immediately;
-//! * [`checkpoint_dense_control`] is the identical program with the
-//!   checkpoint replaced by a `nop` — the differential isolates the
-//!   per-checkpoint cost from loop overhead;
-//! * [`rollback_dense_program`] forces `fails_per_pass - 1` rollbacks per
-//!   iteration through a fail guard keyed to a (non-restored) stack-slot
-//!   attempt counter, measuring the cost of the rollback path itself.
-//!
-//! All three are deterministic and single-threaded: every reported number
-//! is a property of the checkpoint machinery, not of scheduling noise.
+//! point. [`rollback_dense_program`] forces `fails_per_pass - 1` rollbacks
+//! per iteration through a fail guard keyed to a (non-restored) stack-slot
+//! attempt counter, inside a deliberately *wide* frame, so any rollback
+//! implementation whose cost or correctness depends on frame size is
+//! exposed. It is deterministic and single-threaded: every observed
+//! difference is a property of the checkpoint machinery, not of
+//! scheduling noise.
 
 use conair_ir::{
     BinOpKind, CmpKind, FuncBuilder, GuardKind, Inst, ModuleBuilder, PointId, Reg, SiteId,
@@ -32,45 +24,6 @@ fn widen_frame(fb: &mut FuncBuilder, width: usize) -> Reg {
         last = fb.add(last, 1);
     }
     last
-}
-
-/// A single-threaded loop of `iters` iterations, each executing one
-/// checkpoint and one register write, in a frame `regs` registers wide.
-pub fn checkpoint_dense_program(regs: usize, iters: u64) -> Program {
-    build_dense(regs, iters, true)
-}
-
-/// The control for [`checkpoint_dense_program`]: byte-for-byte the same
-/// loop with the checkpoint replaced by a `nop`, so
-/// `(dense_wall - control_wall) / checkpoints` is the marginal cost of one
-/// checkpoint execution.
-pub fn checkpoint_dense_control(regs: usize, iters: u64) -> Program {
-    build_dense(regs, iters, false)
-}
-
-fn build_dense(regs: usize, iters: u64, checkpoint: bool) -> Program {
-    let mut mb = ModuleBuilder::new("checkpoint_stress");
-    let mut fb = FuncBuilder::new("main", 0);
-    let acc = widen_frame(&mut fb, regs);
-    fb.counted_loop(iters as i64, |fb, _i| {
-        if checkpoint {
-            fb.push(Inst::Checkpoint { point: PointId(0) });
-        } else {
-            fb.nop();
-        }
-        // One register write inside the epoch: the undo log sees exactly
-        // one record per iteration, the clone implementation copies the
-        // whole `regs`-wide file.
-        fb.push(Inst::BinOp {
-            dst: acc,
-            op: BinOpKind::Add,
-            lhs: acc.into(),
-            rhs: 1.into(),
-        });
-    });
-    fb.ret();
-    mb.function(fb.finish());
-    Program::from_entry_names(mb.finish(), &["main"])
 }
 
 /// A single-threaded loop of `iters` iterations in a frame `regs`
@@ -123,30 +76,6 @@ pub fn rollback_dense_program(regs: usize, iters: u64, fails_per_pass: u64) -> P
 mod tests {
     use super::*;
     use conair_runtime::{run_once, MachineConfig, RunOutcome};
-
-    #[test]
-    fn dense_program_checkpoints_every_iteration() {
-        let p = checkpoint_dense_program(32, 100);
-        let r = run_once(&p, &MachineConfig::default(), 0);
-        assert!(matches!(r.outcome, RunOutcome::Completed));
-        assert_eq!(r.stats.checkpoints, 100);
-        assert_eq!(r.stats.rollbacks, 0);
-    }
-
-    #[test]
-    fn control_program_never_checkpoints() {
-        let p = checkpoint_dense_control(32, 100);
-        let r = run_once(&p, &MachineConfig::default(), 0);
-        assert!(matches!(r.outcome, RunOutcome::Completed));
-        assert_eq!(r.stats.checkpoints, 0);
-        // Same instruction count as the dense program (nop for checkpoint).
-        let d = run_once(
-            &checkpoint_dense_program(32, 100),
-            &MachineConfig::default(),
-            0,
-        );
-        assert_eq!(r.stats.insts, d.stats.insts);
-    }
 
     #[test]
     fn rollback_program_rolls_back_predictably() {

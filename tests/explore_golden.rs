@@ -1,6 +1,6 @@
 //! Golden exploration reports: the explorer's full output — schedule and
-//! failure counts, the first failing trace, the snapshot-cache, dedup,
-//! independence and DPOR counters, the wave widths and the `exhausted`
+//! failure counts, the first failing trace, the snapshot-cache, dedup
+//! and DPOR counters, the wave widths and the `exhausted`
 //! verdict — for a fixed set of searches, checked against
 //! `assets/explore_golden.json`.
 //!
@@ -144,9 +144,9 @@ fn run_cases() -> Vec<GoldenCase> {
         explore(&dl, &hunt_machine(), &ec),
     ));
 
-    // Shared-access points make independence pruning live; a small
-    // snapshot budget that the frontier outgrows pins the cache-pressure
-    // guard on captures.
+    // Shared-access points make every shared load and store a branch
+    // point; a small snapshot budget that the frontier outgrows pins the
+    // cache-pressure guard on captures.
     let fft = workload_by_name("FFT").expect("registered workload");
     let mut ec = config(
         ExploreStrategy::Bounded { preemptions: 2 },

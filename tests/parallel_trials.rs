@@ -4,7 +4,7 @@
 //! `run_trials` bit for bit, for any job count.
 
 use conair::Conair;
-use conair_runtime::{run_trials, run_trials_parallel, MachineConfig, TrialSummary};
+use conair_runtime::{run_trials, run_trials_parallel, MachineConfig, TrialPool, TrialSummary};
 use conair_workloads::all_workloads;
 
 const TRIALS: usize = 8;
@@ -108,4 +108,15 @@ fn parallel_trials_match_on_benign_schedules() {
             w.meta.name
         );
     }
+}
+
+#[test]
+fn pool_workers_are_clamped_to_available_parallelism() {
+    // `--jobs N` must never start N OS threads: every pool (trials,
+    // experiments, exploration) is clamped to the host's cores. Checked
+    // through the worker count, which spawns nothing.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(TrialPool::new(1 << 20).jobs(), cores);
+    assert_eq!(TrialPool::new(0).jobs(), 1, "0 means run inline");
+    assert_eq!(TrialPool::new(1).jobs(), 1);
 }

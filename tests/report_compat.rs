@@ -5,6 +5,9 @@
 //! included. `assets/pre_dpor_report.json` is a checked-in bounded-search
 //! report of `assets/order_violation.cir` with every post-PR-5 key
 //! stripped, i.e. exactly what an old `--report-out` file looks like.
+//! `assets/pruned_bounded_report.json` was written by a build that still
+//! had bounded search's independence pruning: it carries that retired
+//! reduction's skip counter, which current reports no longer have.
 
 use conair_runtime::{
     explore, DporCounters, ExploreConfig, ExploreReport, ExploreStrategy, MachineConfig, PointMask,
@@ -12,6 +15,7 @@ use conair_runtime::{
 use conair_workloads::workload_by_name;
 
 const PRE_DPOR: &str = include_str!("../assets/pre_dpor_report.json");
+const PRUNED: &str = include_str!("../assets/pruned_bounded_report.json");
 
 #[test]
 fn pre_dpor_reports_still_load() {
@@ -36,12 +40,15 @@ fn pre_dpor_reports_still_load() {
 
 #[test]
 fn pre_dpor_report_round_trips_through_the_modern_shape() {
-    let old: ExploreReport = serde_json::from_str(PRE_DPOR).unwrap();
-    // Re-serializing writes the modern shape (all fields present);
-    // re-parsing that must be lossless.
-    let modern = serde_json::to_string_pretty(&old).expect("report serializes");
-    let back: ExploreReport = serde_json::from_str(&modern).expect("modern shape parses");
-    assert_eq!(old, back);
+    for (name, json) in [("pre-DPOR", PRE_DPOR), ("pruned", PRUNED)] {
+        let old: ExploreReport =
+            serde_json::from_str(json).unwrap_or_else(|e| panic!("{name} report loads: {e}"));
+        // Re-serializing writes the modern shape (all fields present);
+        // re-parsing that must be lossless.
+        let modern = serde_json::to_string_pretty(&old).expect("report serializes");
+        let back: ExploreReport = serde_json::from_str(&modern).expect("modern shape parses");
+        assert_eq!(old, back, "{name}");
+    }
 }
 
 #[test]
